@@ -6,8 +6,7 @@
 //! design decisions are workload-size-invariant for these apps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psaflow_core::context::psa_benchsuite_shim::ScaleFactors;
-use psaflow_core::{full_psa_flow, FlowMode, PsaParams};
+use psaflow_core::{full_psa_flow, FlowMode, PsaParams, ScaleFactors};
 
 /// Small-workload variants of the five benchmarks (same structure, faster
 /// dynamic analyses).

@@ -164,15 +164,7 @@ struct AppRow {
 }
 
 fn time_full_flow(bench: &psa_benchsuite::Benchmark, graph: &FlowGraph) -> f64 {
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: psaflow_core::context::psa_benchsuite_shim::ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    };
+    let params = PsaParams::for_benchmark(bench);
     let ctx = || {
         FlowContext::new(
             Ast::from_source(&bench.source, &bench.key).expect("benchmark parses"),

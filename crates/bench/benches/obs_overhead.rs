@@ -4,14 +4,14 @@
 //! `--recorder-dump=` costs while no dump is ever written.
 //!
 //! Hand-timed harness (`harness = false`): each sample is a cold
-//! `run_all_cached_on` with a fresh evaluation cache on the sequential
+//! `run_all` with a fresh evaluation cache on the sequential
 //! engine (single-threaded, so medians are not scheduler noise). Emits
 //! machine-readable results to `BENCH_obs.json` at the workspace root; CI
 //! guards `overhead_pct <= 5`.
 //!
 //! Run with: `cargo bench -p psa-bench --bench obs_overhead`
 
-use psa_bench::run_all_cached_on;
+use psa_bench::run_all;
 use psaflow_core::{EvalCache, FlowEngine};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +31,7 @@ const SWEEPS: usize = 3;
 fn one_sweep(engine: FlowEngine) -> f64 {
     psa_obs::recorder::reset();
     let start = Instant::now();
-    let r = run_all_cached_on(engine, Arc::new(EvalCache::new())).expect("sweep runs");
+    let r = run_all(engine, Arc::new(EvalCache::new())).expect("sweep runs");
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(r.len(), 5, "all five benchmarks produce rows");
     elapsed

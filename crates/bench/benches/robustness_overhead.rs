@@ -4,14 +4,14 @@
 //! and path, seam probes, deadline checks) costs when nothing ever fails.
 //!
 //! Hand-timed harness (`harness = false`): each sample is a cold
-//! `run_all_cached_on` with a fresh evaluation cache on the sequential
+//! `run_all` with a fresh evaluation cache on the sequential
 //! engine (single-threaded, so medians are not scheduler noise). Emits
 //! machine-readable results to `BENCH_robustness.json` at the workspace
 //! root; CI guards `max_overhead_pct <= 5`.
 //!
 //! Run with: `cargo bench -p psa-bench --bench robustness_overhead`
 
-use psa_bench::run_all_cached_on;
+use psa_bench::run_all;
 use psaflow_core::{EvalCache, FailurePolicy, FlowEngine};
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +26,7 @@ fn median_ms(mut samples: Vec<f64>) -> f64 {
 fn time_policy(policy: FailurePolicy) -> f64 {
     let engine = FlowEngine::sequential().with_policy(policy);
     // Warmup (also validates the run).
-    let rows = run_all_cached_on(engine, Arc::new(EvalCache::new())).expect("sweep runs");
+    let rows = run_all(engine, Arc::new(EvalCache::new())).expect("sweep runs");
     assert_eq!(rows.len(), 5, "all five benchmarks produce rows");
     assert!(
         rows.iter().all(|(_, o)| o.failures.is_empty()),
@@ -35,7 +35,7 @@ fn time_policy(policy: FailurePolicy) -> f64 {
     let samples: Vec<f64> = (0..SAMPLES)
         .map(|_| {
             let start = Instant::now();
-            let r = run_all_cached_on(engine, Arc::new(EvalCache::new())).expect("sweep runs");
+            let r = run_all(engine, Arc::new(EvalCache::new())).expect("sweep runs");
             let elapsed = start.elapsed().as_secs_f64() * 1e3;
             assert_eq!(r.len(), rows.len(), "non-deterministic sweep");
             elapsed

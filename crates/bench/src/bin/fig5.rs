@@ -4,7 +4,7 @@
 
 use psa_bench::faultargs::{run_or_exit, FaultArgs};
 use psa_bench::obsout::ObsArgs;
-use psa_bench::{fmt_speedup, run_all_cached_on};
+use psa_bench::{fmt_speedup, run_all};
 use psa_benchsuite::paper;
 use psaflow_core::{EvalCache, FlowEngine};
 use std::sync::Arc;
@@ -54,7 +54,7 @@ fn main() {
     println!("Fig. 5 — Hotspot speedups vs 1-thread CPU reference");
     println!("(paper value → measured value; informed PSA selection marked)\n");
     let started = Instant::now();
-    let results = run_or_exit(run_all_cached_on(engine, Arc::clone(&cache)));
+    let results = run_or_exit(run_all(engine, Arc::clone(&cache)));
     let elapsed = started.elapsed();
     faults.report_failures(&results);
 
@@ -125,7 +125,7 @@ fn main() {
         // estimate is already memoised. Results are discarded — they are
         // bit-identical to the first sweep — so stdout stays untouched.
         let warm_started = Instant::now();
-        let warm_results = run_or_exit(run_all_cached_on(engine, Arc::clone(&cache)));
+        let warm_results = run_or_exit(run_all(engine, Arc::clone(&cache)));
         let warm_elapsed = warm_started.elapsed();
         assert_eq!(warm_results.len(), results.len(), "warm sweep row count");
         let warm = cache.stats().since(&cold);

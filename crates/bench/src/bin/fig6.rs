@@ -8,9 +8,10 @@
 
 use psa_bench::faultargs::{run_or_exit, FaultArgs};
 use psa_bench::obsout::ObsArgs;
-use psa_bench::run_all_on;
+use psa_bench::run_all;
 use psa_platform::pricing::{fig6_price_ratios, CostCase, CostStudy};
-use psaflow_core::{DeviceKind, FlowEngine};
+use psaflow_core::{DeviceKind, EvalCache, FlowEngine};
+use std::sync::Arc;
 
 fn main() {
     let obs = ObsArgs::parse();
@@ -18,7 +19,10 @@ fn main() {
     println!("Fig. 6 — Relative cost of FPGA (Stratix10) vs GPU (2080 Ti) execution");
     println!("cost_FPGA / cost_GPU at price ratio p = price_FPGA / price_GPU\n");
 
-    let results = run_or_exit(run_all_on(faults.engine(FlowEngine::default())));
+    let results = run_or_exit(run_all(
+        faults.engine(FlowEngine::default()),
+        Arc::new(EvalCache::new()),
+    ));
     faults.report_failures(&results);
     // The paper plots three applications; N-Body's FPGA designs are off the
     // 1/4…4 axis entirely (the GPU is ~300× more cost-effective).

@@ -8,10 +8,11 @@
 
 use psa_bench::faultargs::{run_or_exit, FaultArgs};
 use psa_bench::obsout::ObsArgs;
-use psa_bench::{params_for, run_all_on};
+use psa_bench::run_all;
 use psa_benchsuite::paper;
 use psa_minicpp::canonicalise;
-use psaflow_core::{DeviceKind, FlowEngine};
+use psaflow_core::{DeviceKind, EvalCache, FlowEngine};
+use std::sync::Arc;
 
 fn main() {
     // `--sequential` forces the single-threaded reference scheduler (one
@@ -28,7 +29,7 @@ fn main() {
     } else {
         FlowEngine::default()
     });
-    let results = run_or_exit(run_all_on(engine));
+    let results = run_or_exit(run_all(engine, Arc::new(EvalCache::new())));
     faults.report_failures(&results);
     println!(
         "{:<14} {:>7} {:>14} {:>14} {:>14} {:>14} {:>14} {:>16}",
@@ -46,7 +47,6 @@ fn main() {
     let mut avg_counts = [0usize; 5];
     for (row, outcome) in &results {
         let bench = psa_benchsuite::by_key(&row.key).unwrap();
-        let _ = params_for(&bench);
         // Canonicalise the reference so formatting differences cannot skew
         // the deltas.
         let reference = canonicalise(&bench.source, &bench.key).expect("reference parses");

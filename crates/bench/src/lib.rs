@@ -15,11 +15,10 @@
 pub mod faultargs;
 pub mod obsout;
 
-use psa_benchsuite::{Benchmark, ScaleFactors};
-use psaflow_core::context::psa_benchsuite_shim;
-use psaflow_core::flows::full_psa_flow_cached_on;
+use psa_benchsuite::Benchmark;
 use psaflow_core::{
-    DeviceKind, EvalCache, ExecMode, FlowEngine, FlowMode, FlowOutcome, PsaParams, TargetKind,
+    run_flow_job, DeviceKind, EvalCache, ExecMode, FlowEngine, FlowJob, FlowMode, FlowOutcome,
+    PsaParams, TargetKind,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -41,57 +40,32 @@ pub struct MeasuredRow {
     pub reference_time_s: f64,
 }
 
-/// Convert benchmark scale factors into the flow's parameter shim.
+/// The flow parameters for one suite benchmark
+/// (see [`PsaParams::for_benchmark`]).
 pub fn params_for(bench: &Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: shim(bench.scale),
-        ..PsaParams::default()
-    }
-}
-
-fn shim(s: ScaleFactors) -> psa_benchsuite_shim::ScaleFactors {
-    psa_benchsuite_shim::ScaleFactors {
-        compute: s.compute,
-        data: s.data,
-        threads: s.threads,
-    }
+    PsaParams::for_benchmark(bench)
 }
 
 /// Run the uninformed flow (all design versions) and the informed decision
-/// for one benchmark; collect speedups per device.
-pub fn run_benchmark(bench: &Benchmark) -> Result<(MeasuredRow, FlowOutcome), String> {
-    run_benchmark_on(FlowEngine::default(), bench)
-}
-
-/// [`run_benchmark`] on a caller-chosen engine. With the parallel engine
+/// for one benchmark; collect speedups per device. With the parallel engine
 /// the two flow modes also run concurrently; with the sequential engine
-/// everything stays on the calling thread.
-pub fn run_benchmark_on(
-    engine: FlowEngine,
-    bench: &Benchmark,
-) -> Result<(MeasuredRow, FlowOutcome), String> {
-    run_benchmark_cached_on(engine, bench, Arc::new(EvalCache::new()))
-}
-
-/// [`run_benchmark_on`] with a caller-provided evaluation cache. Both flow
-/// modes share the cache, so the uninformed sweep hits the profiled runs
-/// and model estimates the informed flow already paid for (and vice
-/// versa); outputs are identical either way.
-pub fn run_benchmark_cached_on(
+/// everything stays on the calling thread. Both modes share `cache`, so the
+/// uninformed sweep hits the profiled runs and model estimates the informed
+/// flow already paid for (and vice versa); outputs are identical either way.
+pub fn run_benchmark(
     engine: FlowEngine,
     bench: &Benchmark,
     cache: Arc<EvalCache>,
 ) -> Result<(MeasuredRow, FlowOutcome), String> {
-    let params = params_for(bench);
+    let params = PsaParams::for_benchmark(bench);
     let run = |mode: FlowMode, params: PsaParams| {
-        full_psa_flow_cached_on(
+        let job = FlowJob::new(&bench.source, &bench.key, mode, params);
+        run_flow_job(
             engine,
-            &bench.source,
-            &bench.key,
-            mode,
-            params,
-            Arc::clone(&cache),
+            FlowJob {
+                cache: Arc::clone(&cache),
+                ..job
+            },
         )
     };
     let (uninformed, informed) = if engine.mode() == ExecMode::Parallel {
@@ -139,24 +113,13 @@ pub fn run_benchmark_cached_on(
     Ok((row, uninformed))
 }
 
-/// Run all five benchmarks, each on its own thread (every flow execution is
-/// independent). Results are collected in benchmark order, so the produced
-/// rows are identical to a sequential sweep.
-pub fn run_all() -> Result<Vec<(MeasuredRow, FlowOutcome)>, String> {
-    run_all_on(FlowEngine::default())
-}
-
-/// [`run_all`] on a caller-chosen engine (sequential = one benchmark at a
-/// time, for timing baselines and debugging). All benchmarks and both flow
-/// modes share one evaluation cache.
-pub fn run_all_on(engine: FlowEngine) -> Result<Vec<(MeasuredRow, FlowOutcome)>, String> {
-    run_all_cached_on(engine, Arc::new(EvalCache::new()))
-}
-
-/// [`run_all_on`] with a caller-provided evaluation cache. Pass
-/// [`EvalCache::disabled`] to measure the uncached baseline, or reuse the
-/// same cache across repeated sweeps for fully warm runs.
-pub fn run_all_cached_on(
+/// Run all five benchmarks, each on its own thread under the parallel
+/// engine (one at a time under the sequential one, for timing baselines
+/// and debugging). Results are collected in benchmark order, so the rows
+/// are identical either way. Every benchmark and both flow modes share
+/// `cache`: pass [`EvalCache::disabled`] to measure the uncached baseline,
+/// or reuse one cache across repeated sweeps for fully warm runs.
+pub fn run_all(
     engine: FlowEngine,
     cache: Arc<EvalCache>,
 ) -> Result<Vec<(MeasuredRow, FlowOutcome)>, String> {
@@ -164,7 +127,7 @@ pub fn run_all_cached_on(
     if engine.mode() == ExecMode::Sequential {
         return benches
             .iter()
-            .map(|b| run_benchmark_cached_on(engine, b, Arc::clone(&cache)))
+            .map(|b| run_benchmark(engine, b, Arc::clone(&cache)))
             .collect();
     }
     crossbeam::thread::scope(|s| {
@@ -172,7 +135,7 @@ pub fn run_all_cached_on(
             .iter()
             .map(|b| {
                 let cache = Arc::clone(&cache);
-                s.spawn(move |_| run_benchmark_cached_on(engine, b, cache))
+                s.spawn(move |_| run_benchmark(engine, b, cache))
             })
             .collect();
         // Join every handle before folding: a short-circuiting collect
@@ -199,16 +162,6 @@ pub fn fmt_speedup(v: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn params_propagate_benchmark_metadata() {
-        let rl = psa_benchsuite::by_key("rushlarsen").unwrap();
-        let p = params_for(&rl);
-        assert!(!p.sp_safe);
-        assert!(p.scale.compute > 1000.0);
-        let nb = psa_benchsuite::by_key("nbody").unwrap();
-        assert!(params_for(&nb).sp_safe);
-    }
 
     #[test]
     fn fmt_speedup_forms() {

@@ -39,6 +39,18 @@ pub struct ScaleFactors {
     pub threads: f64,
 }
 
+/// The identity scaling: the evaluation workload is the analysis workload
+/// (applications outside the suite that carry no complexity law).
+impl Default for ScaleFactors {
+    fn default() -> Self {
+        ScaleFactors {
+            compute: 1.0,
+            data: 1.0,
+            threads: 1.0,
+        }
+    }
+}
+
 /// One benchmark application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Benchmark {

@@ -5,36 +5,11 @@ use crate::trace::{DecisionEvidence, TraceEvent};
 use psa_analyses::hotspot::HotspotReport;
 use psa_analyses::KernelAnalysis;
 use psa_artisan::Ast;
-use psa_benchsuite_shim::ScaleFactors;
+use psa_benchsuite::{Benchmark, ScaleFactors};
 use psa_evalcache::EvalCache;
 use psa_faults::FaultPlan;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Re-exported scale factors without depending on the benchmark suite
-/// (applications outside the suite pass their own).
-pub mod psa_benchsuite_shim {
-    use serde::{Deserialize, Serialize};
-
-    /// Multipliers from the analysis workload to the evaluation workload.
-    /// Identical in shape to `psa_benchsuite::ScaleFactors`.
-    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-    pub struct ScaleFactors {
-        pub compute: f64,
-        pub data: f64,
-        pub threads: f64,
-    }
-
-    impl Default for ScaleFactors {
-        fn default() -> Self {
-            ScaleFactors {
-                compute: 1.0,
-                data: 1.0,
-                threads: 1.0,
-            }
-        }
-    }
-}
 
 /// Tunable parameters of the PSA strategy and DSE tasks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,6 +44,19 @@ impl Default for PsaParams {
             hourly_prices: (0.8, 2.2, 1.8),
             sp_safe: true,
             scale: ScaleFactors::default(),
+        }
+    }
+}
+
+impl PsaParams {
+    /// The default parameters specialised to one suite benchmark: its
+    /// numerical tolerance for SP transforms and its analysis→evaluation
+    /// workload scaling.
+    pub fn for_benchmark(bench: &Benchmark) -> PsaParams {
+        PsaParams {
+            sp_safe: bench.sp_safe,
+            scale: bench.scale,
+            ..PsaParams::default()
         }
     }
 }
@@ -262,6 +250,16 @@ mod tests {
         assert_eq!(p.full_unroll_limit, 64);
         assert!(p.budget.is_none());
         assert!(p.sp_safe);
+    }
+
+    #[test]
+    fn params_propagate_benchmark_metadata() {
+        let rl = psa_benchsuite::by_key("rushlarsen").unwrap();
+        let p = PsaParams::for_benchmark(&rl);
+        assert!(!p.sp_safe);
+        assert!(p.scale.compute > 1000.0);
+        let nb = psa_benchsuite::by_key("nbody").unwrap();
+        assert!(PsaParams::for_benchmark(&nb).sp_safe);
     }
 
     #[test]

@@ -960,7 +960,7 @@ fn attempt_module(
 }
 
 /// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -11,8 +11,7 @@
 //!   [`tindep::ComputeKernelAnalysis`].
 //!
 //! Both produce byte-identical traces (the graph's stable topological
-//! order equals the chain order); the `full_psa_flow*` entry points run
-//! the graph form.
+//! order equals the chain order); [`run_flow_job`] runs the graph form.
 
 use crate::context::{FlowContext, PsaParams};
 use crate::engine::FlowEngine;
@@ -200,142 +199,46 @@ pub fn build_graph_with_strategy(
     b.finish().expect("the Fig. 4 flow graph validates")
 }
 
-/// Run the full flow with a custom branch-A strategy.
-pub fn full_psa_flow_with_strategy(
-    source: &str,
-    app_name: &str,
-    strategy: impl crate::strategy::PsaStrategy + 'static,
-    params: PsaParams,
-) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_with_strategy_on(FlowEngine::default(), source, app_name, strategy, params)
-}
-
-/// [`full_psa_flow_with_strategy`] on a caller-chosen engine.
-pub fn full_psa_flow_with_strategy_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    strategy: impl crate::strategy::PsaStrategy + 'static,
-    params: PsaParams,
-) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_with_strategy_cached_on(
-        engine,
-        source,
-        app_name,
-        strategy,
-        params,
-        Arc::new(EvalCache::new()),
-    )
-}
-
-/// [`full_psa_flow_with_strategy_on`] with a caller-provided evaluation
-/// cache — pass the same `Arc` across flows to reuse profiled runs and
-/// model estimates between them.
-pub fn full_psa_flow_with_strategy_cached_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    strategy: impl crate::strategy::PsaStrategy + 'static,
-    params: PsaParams,
-    cache: Arc<EvalCache>,
-) -> Result<FlowOutcome, FlowError> {
-    let ast = Ast::from_source(source, app_name)
-        .map_err(|e| FlowError::precondition(format!("parse error: {e}")))?;
-    let mut ctx = FlowContext::with_cache(ast, params, cache);
-    // Causal root span: structural (app name + entry-point discriminant),
-    // so reruns of the same flow produce identical span ids.
-    ctx.span = psa_obs::SpanCtx::root(&format!("psa-flow/{app_name}"), 2);
-    let before = ctx.cache.stats();
-    engine.execute_graph(
-        &build_graph_with_strategy(strategy, "A (custom strategy)"),
-        &mut ctx,
-    )?;
-    push_cache_stats(&mut ctx, &before);
-    let selected_target = ctx.selected_target;
-    Ok(package_outcome(app_name, ctx, selected_target))
-}
-
 /// Parse an application, run the full PSA-flow on the default (parallel)
-/// engine, and package the outcome.
+/// engine with a fresh evaluation cache, and package the outcome — the
+/// one-line form of [`run_flow_job`].
 pub fn full_psa_flow(
     source: &str,
     app_name: &str,
     mode: FlowMode,
     params: PsaParams,
 ) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_on(FlowEngine::default(), source, app_name, mode, params)
-}
-
-/// [`full_psa_flow`] on a caller-chosen engine
-/// ([`FlowEngine::sequential`] forces single-threaded execution).
-pub fn full_psa_flow_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    mode: FlowMode,
-    params: PsaParams,
-) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_cached_on(
-        engine,
-        source,
-        app_name,
-        mode,
-        params,
-        Arc::new(EvalCache::new()),
-    )
-}
-
-/// [`full_psa_flow_on`] with a caller-provided evaluation cache. Every
-/// path of this flow shares the cache (branch contexts clone the `Arc`),
-/// and passing the same cache to several flows — e.g. an informed and an
-/// uninformed run over the same application — lets later flows hit the
-/// profiled runs and model estimates warmed by earlier ones.
-pub fn full_psa_flow_cached_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    mode: FlowMode,
-    params: PsaParams,
-    cache: Arc<EvalCache>,
-) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_faulted_on(engine, source, app_name, mode, params, cache, None)
-}
-
-/// [`full_psa_flow_cached_on`] with an optional **context-local** fault
-/// plan: the plan travels with the [`FlowContext`] (and its per-path
-/// clones), so concurrent flows carrying different plans never interfere —
-/// unlike the process-global [`psa_faults::install`]. This is the
-/// deterministic soak-test entry point.
-pub fn full_psa_flow_faulted_on(
-    engine: FlowEngine,
-    source: &str,
-    app_name: &str,
-    mode: FlowMode,
-    params: PsaParams,
-    cache: Arc<EvalCache>,
-    faults: Option<Arc<psa_faults::FaultPlan>>,
-) -> Result<FlowOutcome, FlowError> {
     run_flow_job(
-        engine,
-        FlowJob {
-            source,
-            app_name,
-            mode,
-            params,
-            cache,
-            faults,
-            span_root: None,
-            cancel: None,
-        },
+        FlowEngine::default(),
+        FlowJob::new(source, app_name, mode, params),
     )
 }
 
-/// One fully-specified PSA-flow run: everything
-/// [`full_psa_flow_faulted_on`] takes, plus the service-layer extras — a
-/// custom causal root span (a server roots jobs at
-/// `psa-serve/{tenant}/{job}` so per-job forensic bundles filter by trace
-/// id) and a shared [`crate::cancel::CancelToken`] for cooperative
-/// cancellation mid-run.
+/// [`full_psa_flow`] with a custom branch-A strategy (e.g. the learned
+/// [`crate::strategy::ml::MlTargetSelect`]) in place of the mode's.
+pub fn full_psa_flow_with_strategy(
+    source: &str,
+    app_name: &str,
+    strategy: impl crate::strategy::PsaStrategy + 'static,
+    params: PsaParams,
+) -> Result<FlowOutcome, FlowError> {
+    // The graph carries the strategy; the job's mode is never consulted.
+    let graph = build_graph_with_strategy(strategy, "A (custom strategy)");
+    let job = FlowJob::new(source, app_name, FlowMode::Informed, params);
+    execute(FlowEngine::default(), &graph, 2, job)
+}
+
+/// One fully-specified PSA-flow run: the application, the flow mode and
+/// parameters, plus an evaluation cache (share one `Arc` across flows to
+/// reuse profiled runs and model estimates), a context-local fault plan
+/// (concurrent flows carrying different plans never interfere — unlike
+/// the process-global [`psa_faults::install`]), a custom causal root span
+/// (a server roots jobs at `psa-serve/{tenant}/{job}` so per-job forensic
+/// bundles filter by trace id) and a shared [`crate::cancel::CancelToken`]
+/// for cooperative cancellation mid-run.
+///
+/// Start from [`FlowJob::new`] and override fields with struct-update
+/// syntax: `FlowJob { cache, ..FlowJob::new(source, app, mode, params) }`.
 pub struct FlowJob<'a> {
     pub source: &'a str,
     pub app_name: &'a str,
@@ -351,14 +254,48 @@ pub struct FlowJob<'a> {
     pub cancel: Option<Arc<crate::cancel::CancelToken>>,
 }
 
-/// Run one [`FlowJob`] on `engine`. This is the single entry point every
-/// `full_psa_flow*` convenience wrapper (and the service layer) funnels
-/// through, so offline and served runs share byte-identical semantics.
+impl<'a> FlowJob<'a> {
+    /// A job with a fresh evaluation cache and no fault plan, root-span
+    /// override or cancellation token.
+    pub fn new(source: &'a str, app_name: &'a str, mode: FlowMode, params: PsaParams) -> Self {
+        FlowJob {
+            source,
+            app_name,
+            mode,
+            params,
+            cache: Arc::new(EvalCache::new()),
+            faults: None,
+            span_root: None,
+            cancel: None,
+        }
+    }
+}
+
+/// Run one [`FlowJob`] on `engine` ([`FlowEngine::sequential`] forces
+/// single-threaded execution). This is the single flow-run path: the
+/// `full_psa_flow*` one-liners and the service layer all funnel through
+/// it, so offline and served runs share byte-identical semantics.
 pub fn run_flow_job(engine: FlowEngine, job: FlowJob<'_>) -> Result<FlowOutcome, FlowError> {
+    let root_seed = match job.mode {
+        FlowMode::Uninformed => 0,
+        FlowMode::Informed => 1,
+    };
+    execute(engine, &build_graph(job.mode), root_seed, job)
+}
+
+/// The flow-run body: parse, build the context, root its span, execute
+/// `graph`, record the cache-stats event and package the outcome. The
+/// job's mode is not read here — `graph` already embodies it.
+fn execute(
+    engine: FlowEngine,
+    graph: &FlowGraph,
+    root_seed: u64,
+    job: FlowJob<'_>,
+) -> Result<FlowOutcome, FlowError> {
     let FlowJob {
         source,
         app_name,
-        mode,
+        mode: _,
         params,
         cache,
         faults,
@@ -368,37 +305,20 @@ pub fn run_flow_job(engine: FlowEngine, job: FlowJob<'_>) -> Result<FlowOutcome,
     let ast = Ast::from_source(source, app_name)
         .map_err(|e| FlowError::precondition(format!("parse error: {e}")))?;
     let mut ctx = FlowContext::with_cache(ast, params, cache);
-    // Causal root span: structural (app name + flow mode), so reruns of
-    // the same flow produce identical span ids.
-    ctx.span = span_root.unwrap_or_else(|| {
-        psa_obs::SpanCtx::root(
-            &format!("psa-flow/{app_name}"),
-            match mode {
-                FlowMode::Uninformed => 0,
-                FlowMode::Informed => 1,
-            },
-        )
-    });
+    // Causal root span: structural (app name + entry-point discriminant),
+    // so reruns of the same flow produce identical span ids.
+    ctx.span = span_root
+        .unwrap_or_else(|| psa_obs::SpanCtx::root(&format!("psa-flow/{app_name}"), root_seed));
     if let Some(plan) = faults {
         ctx = ctx.with_faults(plan);
     }
     if let Some(token) = cancel {
         ctx = ctx.with_cancel(token);
     }
-    let graph = build_graph(mode);
     let before = ctx.cache.stats();
-    engine.execute_graph(&graph, &mut ctx)?;
+    engine.execute_graph(graph, &mut ctx)?;
     push_cache_stats(&mut ctx, &before);
-
-    // The informed strategy records its decision (with evidence) in the
-    // context at branch time — *before* target-specific transforms reshape
-    // the kernel.
-    let selected_target = match mode {
-        FlowMode::Uninformed => None,
-        FlowMode::Informed => ctx.selected_target,
-    };
-
-    Ok(package_outcome(app_name, ctx, selected_target))
+    Ok(package_outcome(app_name, ctx))
 }
 
 /// Record this flow's share of cache activity as a structured (never
@@ -414,16 +334,15 @@ fn push_cache_stats(ctx: &mut FlowContext, before: &psa_evalcache::CacheStats) {
     });
 }
 
-fn package_outcome(
-    app_name: &str,
-    ctx: FlowContext,
-    selected_target: Option<TargetKind>,
-) -> FlowOutcome {
+/// Package a finished context. Only the informed strategies set
+/// `selected_target`, and they record it at branch time — *before*
+/// target-specific transforms reshape the kernel.
+fn package_outcome(app_name: &str, ctx: FlowContext) -> FlowOutcome {
     FlowOutcome {
         app: app_name.to_string(),
         reference_time_s: ctx.reference_time_s.unwrap_or(0.0),
         designs: ctx.designs,
-        selected_target,
+        selected_target: ctx.selected_target,
         log: crate::trace::render_lines(&ctx.trace),
         trace: ctx.trace,
         failures: ctx.failures,

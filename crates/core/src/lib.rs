@@ -74,6 +74,7 @@ pub use flow::{BranchPoint, Flow, FlowError, Selection, Step};
 pub use flows::{full_psa_flow, run_flow_job, FlowJob, FlowMode};
 pub use graph::{FlowGraph, GraphBuilder, GraphError, GraphNode, NodeId};
 pub use ports::{ModulePorts, Port, PortSet};
+pub use psa_benchsuite::ScaleFactors;
 pub use psa_evalcache::{CacheKey, CacheStats, EvalCache, KeyBuilder};
 pub use report::{DesignArtifact, DeviceKind, FlowOutcome, PathFailure, TargetKind};
 pub use strategy::{PsaStrategy, TargetSelect};

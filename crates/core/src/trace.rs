@@ -16,6 +16,7 @@
 //!   compat shim is marker-only (see `compat/serde`).
 
 use crate::flow::FlowError;
+use psa_obs::json::write_str;
 use std::fmt::Write as _;
 
 /// One node of a flow's execution trace.
@@ -553,24 +554,6 @@ fn json_f64(v: f64) -> String {
         // JSON has no Infinity/NaN; encode as null.
         "null".to_string()
     }
-}
-
-fn write_str(s: &mut String, text: &str) {
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 #[cfg(test)]

@@ -90,7 +90,8 @@ pub fn reference_time(ctx: &FlowContext) -> Result<f64, FlowError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{psa_benchsuite_shim::ScaleFactors, FlowContext, PsaParams};
+    use crate::context::{FlowContext, PsaParams};
+    use crate::ScaleFactors;
     use psa_artisan::Ast;
 
     const APP: &str = "void knl(double* a, double* b, int n) {\

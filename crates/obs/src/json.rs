@@ -1,4 +1,5 @@
-//! A minimal JSON parser for validating emitted artefacts.
+//! A minimal JSON parser for validating emitted artefacts, plus the one
+//! string-literal escaper every JSON writer in the workspace shares.
 //!
 //! The workspace's `serde` dependency is a marker-only compat shim (see
 //! `compat/serde`), so tests that want to *read back* the JSON the
@@ -6,6 +7,27 @@
 //! full JSON syntax, objects as ordered pairs (no map semantics), numbers
 //! as `f64`. It exists for validation — tests, CI helpers — not as a
 //! general-purpose serialisation layer.
+
+use std::fmt::Write as _;
+
+/// Append `text` as a JSON string literal (quotes + escapes).
+pub fn write_str(out: &mut String, text: &str) {
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@
 //!   [`proto::ProtoError`]s for malformed lines, typed
 //!   [`proto::RejectReason`]s for admission refusals, and the canonical
 //!   [`proto::render_outcome`] rendering that makes served results
-//!   byte-comparable to offline `full_psa_flow_cached_on` runs;
+//!   byte-comparable to offline `run_flow_job` runs;
 //! * [`admission`] — token-bucket rate limits, per-tenant in-flight
 //!   quotas and a bounded global queue, all computed on the submission
 //!   stream's *virtual clock* so decisions are deterministic;

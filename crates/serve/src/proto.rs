@@ -218,7 +218,7 @@ pub struct JobResult {
     pub detail: String,
     /// Canonical [`render_outcome`] JSON for `Done` jobs, carried as a
     /// string so clients can compare it byte-for-byte against an offline
-    /// `full_psa_flow_cached_on` run.
+    /// `run_flow_job` run.
     pub outcome: Option<String>,
     /// The job's causal trace id (`psa-serve/{tenant}/{id}` root span);
     /// keys the per-job forensic bundle flushed at drain.
@@ -305,24 +305,8 @@ pub enum Response {
 // ---------------------------------------------------------------------------
 // encoding
 
-/// Append `text` as a JSON string literal (quotes + escapes).
-pub fn push_json_str(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Append `text` as a JSON string literal (the workspace's one escaper).
+pub use psa_obs::json::write_str as push_json_str;
 
 fn push_kv_str(out: &mut String, key: &str, val: &str) {
     push_json_str(out, key);
@@ -471,7 +455,7 @@ impl Response {
 /// whose content legitimately differs between a warm service cache and a
 /// cold offline run. Byte-identical outcomes ⇒ byte-identical renderings,
 /// so the soak harness compares served results against offline
-/// `full_psa_flow_cached_on` with `==` on strings.
+/// `run_flow_job` with `==` on strings.
 pub fn render_outcome(o: &FlowOutcome) -> String {
     let mut s = String::from("{");
     push_kv_str(&mut s, "app", &o.app);

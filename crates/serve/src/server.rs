@@ -569,7 +569,7 @@ fn execute(inner: &Inner, job: Admitted, wait_ms: u64) -> JobResult {
     // specs validated at decode time.
     let (source, params) = match &spec.bench {
         Some(key) => match psa_benchsuite::by_key(key) {
-            Some(b) => (b.source.clone(), bench_params(&b)),
+            Some(b) => (b.source.clone(), PsaParams::for_benchmark(&b)),
             None => {
                 result.detail = format!("unknown benchmark \"{key}\"");
                 return result;
@@ -656,34 +656,10 @@ fn execute(inner: &Inner, job: Admitted, wait_ms: u64) -> JobResult {
         }
         Err(payload) => {
             result.status = JobStatus::Panicked;
-            result.detail = panic_message(&payload);
+            result.detail = psaflow_core::engine::panic_message(payload);
         }
     }
     result
-}
-
-/// Replicates the benchmark→parameter mapping used by the offline
-/// harness (kept local to avoid a dependency cycle with `psa-bench`).
-fn bench_params(b: &psa_benchsuite::Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: b.sp_safe,
-        scale: psaflow_core::context::psa_benchsuite_shim::ScaleFactors {
-            compute: b.scale.compute,
-            data: b.scale.data,
-            threads: b.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_owned()
-    }
 }
 
 fn sanitize(name: &str) -> String {

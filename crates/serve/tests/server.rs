@@ -6,7 +6,7 @@ use psa_serve::loadgen::{script, LoadConfig};
 use psa_serve::{
     JobSpec, JobStatus, RejectReason, Request, Response, Server, ServerConfig, TenantPolicy,
 };
-use psaflow_core::{FailurePolicy, FlowEngine, FlowMode, PsaParams};
+use psaflow_core::{FailurePolicy, FlowEngine, FlowJob, FlowMode, PsaParams};
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -128,13 +128,9 @@ fn results_are_ordered_and_byte_identical_to_offline_runs() {
     }
     let results = server.handle_request(&Request::Wait);
     assert_eq!(results.len(), 3);
-    let offline = psaflow_core::flows::full_psa_flow_cached_on(
+    let offline = psaflow_core::run_flow_job(
         FlowEngine::sequential().with_policy(FailurePolicy::DegradePaths),
-        SMOKE_SRC,
-        "first",
-        FlowMode::Informed,
-        PsaParams::default(),
-        Arc::new(psaflow_core::EvalCache::new()),
+        FlowJob::new(SMOKE_SRC, "first", FlowMode::Informed, PsaParams::default()),
     )
     .expect("offline flow runs");
     let offline_rendering = {

@@ -9,7 +9,6 @@
 //! ```
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::{full_psa_flow, DeviceKind, FlowMode, PsaParams};
 use psaflow::platform::pricing::CostCase;
 
@@ -17,15 +16,7 @@ fn main() {
     println!("=== cloud cost explorer (Stratix10 FPGA vs 2080 Ti GPU) ===\n");
 
     for bench in benchsuite::all() {
-        let params = PsaParams {
-            sp_safe: bench.sp_safe,
-            scale: ScaleFactors {
-                compute: bench.scale.compute,
-                data: bench.scale.data,
-                threads: bench.scale.threads,
-            },
-            ..PsaParams::default()
-        };
+        let params = PsaParams::for_benchmark(&bench);
         let outcome = full_psa_flow(&bench.source, &bench.key, FlowMode::Uninformed, params)
             .expect("flow runs");
 

@@ -13,7 +13,6 @@
 //! ```
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::context::FlowContext;
 use psaflow::core::flows::full_psa_flow_with_strategy;
 use psaflow::core::strategy::ml::{self, Example, KernelFeatures, MlTargetSelect};
@@ -21,22 +20,10 @@ use psaflow::core::task::Task;
 use psaflow::core::tasks::tindep;
 use psaflow::core::{full_psa_flow, FlowMode, PsaParams};
 
-fn params_for(bench: &benchsuite::Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
-
 /// Extract the branch-A feature vector for one benchmark.
 fn features_of(bench: &benchsuite::Benchmark) -> KernelFeatures {
     let ast = psaflow::artisan::Ast::from_source(&bench.source, &bench.key).unwrap();
-    let mut ctx = FlowContext::new(ast, params_for(bench));
+    let mut ctx = FlowContext::new(ast, PsaParams::for_benchmark(bench));
     tindep::IdentifyHotspotLoops.run(&mut ctx).unwrap();
     tindep::HotspotLoopExtraction {
         kernel_name: "knl".into(),
@@ -58,7 +45,7 @@ fn main() {
             &bench.source,
             &bench.key,
             FlowMode::Uninformed,
-            params_for(&bench),
+            PsaParams::for_benchmark(&bench),
         )
         .expect("uninformed flow");
         let best = outcome.best_design().expect("a design wins").target;
@@ -99,7 +86,7 @@ fn main() {
             &bench.source,
             &bench.key,
             MlTargetSelect { tree: tree.clone() },
-            params_for(bench),
+            PsaParams::for_benchmark(bench),
         )
         .expect("ml flow");
         let selected = outcome.selected_target.expect("decided");

@@ -9,22 +9,13 @@
 //! ```
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::{full_psa_flow, FlowMode, PsaParams};
 use std::fs;
 use std::path::Path;
 
 fn main() {
     let bench = benchsuite::by_key("nbody").expect("benchmark registered");
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    };
+    let params = PsaParams::for_benchmark(&bench);
 
     println!("Running the uninformed PSA-flow over {} …\n", bench.name);
     let outcome =

@@ -5,8 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
-use psaflow::core::{full_psa_flow, FlowMode, PsaParams};
+use psaflow::core::{full_psa_flow, FlowMode, PsaParams, ScaleFactors};
 
 /// An "unoptimised high-level description": plain sequential C-like code,
 /// no pragmas, no target knowledge.

@@ -1,21 +1,12 @@
 //! Integration: Fig. 6's cost/performance trade-off claims.
 
 use psaflow::benchsuite::{self, Benchmark};
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::{full_psa_flow, DeviceKind, FlowMode, PsaParams};
 use psaflow::platform::pricing::CostCase;
 
 fn cost_case(key: &str) -> Option<CostCase> {
     let bench: Benchmark = benchsuite::by_key(key)?;
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    };
+    let params = PsaParams::for_benchmark(&bench);
     let outcome = full_psa_flow(&bench.source, key, FlowMode::Uninformed, params).ok()?;
     let t_fpga_s = outcome
         .design_for(DeviceKind::Stratix10)?

@@ -3,26 +3,18 @@
 //! human-readability round-trip the paper emphasises.
 
 use psaflow::benchsuite::{self, Benchmark};
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::{full_psa_flow, DeviceKind, FlowMode, FlowOutcome, PsaParams};
 use psaflow::minicpp::canonicalise;
 
-fn params_for(bench: &Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
-
 fn run_uninformed(key: &str) -> (Benchmark, FlowOutcome) {
     let bench = benchsuite::by_key(key).expect("benchmark exists");
-    let outcome =
-        full_psa_flow(&bench.source, key, FlowMode::Uninformed, params_for(&bench)).unwrap();
+    let outcome = full_psa_flow(
+        &bench.source,
+        key,
+        FlowMode::Uninformed,
+        PsaParams::for_benchmark(&bench),
+    )
+    .unwrap();
     (bench, outcome)
 }
 
@@ -160,7 +152,7 @@ fn working_ast_stays_human_readable_and_reparseable() {
     // hand-tuned if desired" — the MiniC++ working form must round-trip
     // through the parser after all transforms.
     for bench in benchsuite::all() {
-        let params = params_for(&bench);
+        let params = PsaParams::for_benchmark(&bench);
         let informed =
             full_psa_flow(&bench.source, &bench.key, FlowMode::Informed, params).unwrap();
         // Every design's source is non-empty, line-structured text.

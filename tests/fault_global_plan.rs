@@ -8,9 +8,9 @@
 //! still serialise against each other via a mutex (one global slot).
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim;
-use psaflow::core::flows::full_psa_flow_cached_on;
-use psaflow::core::{DeviceKind, EvalCache, FailurePolicy, FlowEngine, FlowMode, PsaParams};
+use psaflow::core::{
+    run_flow_job, DeviceKind, FailurePolicy, FlowEngine, FlowJob, FlowMode, PsaParams,
+};
 use psaflow::faults::{FaultPlan, Seam};
 use std::sync::{Arc, Mutex};
 
@@ -18,22 +18,10 @@ static GLOBAL_PLAN_SLOT: Mutex<()> = Mutex::new(());
 
 fn run_kmeans(engine: FlowEngine) -> Result<psaflow::core::FlowOutcome, psaflow::core::FlowError> {
     let bench = benchsuite::by_key("kmeans").unwrap();
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: psa_benchsuite_shim::ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    };
-    full_psa_flow_cached_on(
+    let params = PsaParams::for_benchmark(&bench);
+    run_flow_job(
         engine,
-        &bench.source,
-        &bench.key,
-        FlowMode::Uninformed,
-        params,
-        Arc::new(EvalCache::new()),
+        FlowJob::new(&bench.source, &bench.key, FlowMode::Uninformed, params),
     )
 }
 

@@ -16,40 +16,21 @@
 //! flow error (never a panic or a hang).
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim;
-use psaflow::core::flows::full_psa_flow_faulted_on;
 use psaflow::core::{
-    DeviceKind, EvalCache, FailurePolicy, FlowEngine, FlowError, FlowMode, FlowOutcome, PsaParams,
+    run_flow_job, DeviceKind, FailurePolicy, FlowEngine, FlowError, FlowJob, FlowMode, FlowOutcome,
+    PsaParams,
 };
 use psaflow::faults::{FaultPlan, Seam};
 use std::sync::Arc;
-
-fn params_for(b: &benchsuite::Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: b.sp_safe,
-        scale: psa_benchsuite_shim::ScaleFactors {
-            compute: b.scale.compute,
-            data: b.scale.data,
-            threads: b.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
 
 fn run(
     engine: FlowEngine,
     bench: &benchsuite::Benchmark,
     faults: Option<Arc<FaultPlan>>,
 ) -> Result<FlowOutcome, FlowError> {
-    full_psa_flow_faulted_on(
-        engine,
-        &bench.source,
-        &bench.key,
-        FlowMode::Uninformed,
-        params_for(bench),
-        Arc::new(EvalCache::new()),
-        faults,
-    )
+    let params = PsaParams::for_benchmark(bench);
+    let job = FlowJob::new(&bench.source, &bench.key, FlowMode::Uninformed, params);
+    run_flow_job(engine, FlowJob { faults, ..job })
 }
 
 /// A plan whose task seam kills everything inside one device's sub-flow

@@ -6,25 +6,12 @@
 //! each application maps to, who wins within each application, and the
 //! cross-device orderings the paper narrates.
 
-use psaflow::benchsuite::{self, paper, Benchmark};
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
+use psaflow::benchsuite::{self, paper};
 use psaflow::core::{full_psa_flow, DeviceKind, FlowMode, FlowOutcome, PsaParams, TargetKind};
-
-fn params_for(bench: &Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
 
 fn run(key: &str, mode: FlowMode) -> FlowOutcome {
     let bench = benchsuite::by_key(key).expect("benchmark exists");
-    full_psa_flow(&bench.source, key, mode, params_for(&bench))
+    full_psa_flow(&bench.source, key, mode, PsaParams::for_benchmark(&bench))
         .unwrap_or_else(|e| panic!("{key}: {e}"))
 }
 

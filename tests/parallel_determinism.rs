@@ -5,21 +5,16 @@
 //! never rendered, so this comparison is exact.
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim;
-use psaflow::core::flows::{full_psa_flow_cached_on, full_psa_flow_on};
-use psaflow::core::{trace, EvalCache, FlowEngine, FlowMode, PsaParams};
+use psaflow::core::{run_flow_job, trace, EvalCache, FlowEngine, FlowJob, FlowMode, PsaParams};
 use std::sync::Arc;
 
-fn params_for(b: &benchsuite::Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: b.sp_safe,
-        scale: psa_benchsuite_shim::ScaleFactors {
-            compute: b.scale.compute,
-            data: b.scale.data,
-            threads: b.scale.threads,
-        },
-        ..PsaParams::default()
-    }
+fn job(bench: &benchsuite::Benchmark, mode: FlowMode) -> FlowJob<'_> {
+    FlowJob::new(
+        &bench.source,
+        &bench.key,
+        mode,
+        PsaParams::for_benchmark(bench),
+    )
 }
 
 /// One full sweep: every benchmark × both flow modes, DAG-scheduled with a
@@ -28,22 +23,10 @@ fn params_for(b: &benchsuite::Benchmark) -> PsaParams {
 fn assert_dag_matches_sequential_reference() {
     for bench in benchsuite::all() {
         for mode in [FlowMode::Informed, FlowMode::Uninformed] {
-            let par = full_psa_flow_on(
-                FlowEngine::parallel().with_workers(4),
-                &bench.source,
-                &bench.key,
-                mode,
-                params_for(&bench),
-            )
-            .unwrap_or_else(|e| panic!("{} {mode:?} (parallel): {e}", bench.key));
-            let seq = full_psa_flow_on(
-                FlowEngine::sequential(),
-                &bench.source,
-                &bench.key,
-                mode,
-                params_for(&bench),
-            )
-            .unwrap_or_else(|e| panic!("{} {mode:?} (sequential): {e}", bench.key));
+            let par = run_flow_job(FlowEngine::parallel().with_workers(4), job(&bench, mode))
+                .unwrap_or_else(|e| panic!("{} {mode:?} (parallel): {e}", bench.key));
+            let seq = run_flow_job(FlowEngine::sequential(), job(&bench, mode))
+                .unwrap_or_else(|e| panic!("{} {mode:?} (sequential): {e}", bench.key));
 
             let ctx = format!("{} {mode:?}", bench.key);
             assert_eq!(par.log, seq.log, "{ctx}: rendered traces diverge");
@@ -121,7 +104,7 @@ fn chain_and_graph_forms_are_byte_identical() {
         let make_ctx = || {
             FlowContext::new(
                 Ast::from_source(&bench.source, &bench.key).expect("benchmark parses"),
-                params_for(bench),
+                PsaParams::for_benchmark(bench),
             )
         };
         let engine = FlowEngine::parallel().with_workers(4);
@@ -157,22 +140,20 @@ fn cache_never_changes_designs_or_rendered_traces() {
     let live = Arc::new(EvalCache::new());
     for bench in benchsuite::all() {
         for mode in [FlowMode::Informed, FlowMode::Uninformed] {
-            let cached = full_psa_flow_cached_on(
+            let cached = run_flow_job(
                 FlowEngine::parallel(),
-                &bench.source,
-                &bench.key,
-                mode,
-                params_for(&bench),
-                Arc::clone(&live),
+                FlowJob {
+                    cache: Arc::clone(&live),
+                    ..job(&bench, mode)
+                },
             )
             .unwrap_or_else(|e| panic!("{} {mode:?} (cached): {e}", bench.key));
-            let uncached = full_psa_flow_cached_on(
+            let uncached = run_flow_job(
                 FlowEngine::parallel(),
-                &bench.source,
-                &bench.key,
-                mode,
-                params_for(&bench),
-                Arc::new(EvalCache::disabled()),
+                FlowJob {
+                    cache: Arc::new(EvalCache::disabled()),
+                    ..job(&bench, mode)
+                },
             )
             .unwrap_or_else(|e| panic!("{} {mode:?} (uncached): {e}", bench.key));
 
@@ -206,14 +187,7 @@ fn cache_never_changes_designs_or_rendered_traces() {
 #[test]
 fn outcome_log_is_the_rendering_of_the_structured_trace() {
     let bench = &benchsuite::all()[0];
-    let outcome = full_psa_flow_on(
-        FlowEngine::parallel(),
-        &bench.source,
-        &bench.key,
-        FlowMode::Uninformed,
-        params_for(bench),
-    )
-    .unwrap();
+    let outcome = run_flow_job(FlowEngine::parallel(), job(bench, FlowMode::Uninformed)).unwrap();
     assert_eq!(outcome.log, trace::render_lines(&outcome.trace));
     let json = trace::to_json(&outcome.trace);
     assert!(

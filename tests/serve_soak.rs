@@ -13,16 +13,14 @@
 //! * accepted + rejected counts reconcile exactly with the submission
 //!   count, and every accepted job reaches a terminal state;
 //! * sampled successful results are **byte-identical** to offline
-//!   [`full_psa_flow_faulted_on`] runs of the same spec — the service
+//!   [`run_flow_job`] runs of the same spec — the service
 //!   layer adds failure isolation, not behavioural drift.
 //!
 //! `soak_mini` keeps the property under continuous test at tier-1 cost;
 //! `soak_full` is the ≥2000-job version CI's `serve-soak` job runs in
 //! release mode with `--include-ignored`.
 
-use psaflow::core::context::psa_benchsuite_shim;
-use psaflow::core::flows::full_psa_flow_faulted_on;
-use psaflow::core::{EvalCache, FailurePolicy, FlowEngine, PsaParams};
+use psaflow::core::{run_flow_job, FailurePolicy, FlowEngine, FlowJob, PsaParams};
 use psaflow::obs::json::{parse, Json};
 use psaflow::serve::loadgen::{generate, script, LoadConfig};
 use psaflow::serve::{JobSpec, Request, Server, ServerConfig, TenantPolicy};
@@ -175,29 +173,20 @@ fn soak(jobs: usize) {
         let spec = &specs[id];
         let bench = psaflow::benchsuite::by_key(spec.bench.as_deref().expect("bench job"))
             .expect("known benchmark");
-        let params = PsaParams {
-            sp_safe: bench.sp_safe,
-            scale: psa_benchsuite_shim::ScaleFactors {
-                compute: bench.scale.compute,
-                data: bench.scale.data,
-                threads: bench.scale.threads,
-            },
-            ..PsaParams::default()
-        };
+        let params = PsaParams::for_benchmark(&bench);
         let engine = FlowEngine::sequential()
             .with_policy(FailurePolicy::parse(&spec.policy).expect("valid policy"));
         let plan = spec
             .faults
             .as_deref()
             .map(|f| Arc::new(psaflow::faults::FaultPlan::parse(f).expect("valid plan")));
-        let offline = full_psa_flow_faulted_on(
+        let job = FlowJob::new(&bench.source, &bench.key, spec.mode, params);
+        let offline = run_flow_job(
             engine,
-            &bench.source,
-            &bench.key,
-            spec.mode,
-            params,
-            Arc::new(EvalCache::new()),
-            plan,
+            FlowJob {
+                faults: plan,
+                ..job
+            },
         )
         .unwrap_or_else(|e| panic!("offline {id}: {e}"));
         assert_eq!(

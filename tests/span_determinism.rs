@@ -10,31 +10,16 @@
 //! an in-crate lock.)
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim;
-use psaflow::core::flows::full_psa_flow_cached_on;
-use psaflow::core::{EvalCache, FlowEngine, FlowMode, PsaParams};
+use psaflow::core::{run_flow_job, FlowEngine, FlowJob, FlowMode, PsaParams};
 use psaflow::obs::recorder::{self, Snapshot};
-use std::sync::Arc;
 
 fn recorded_run() -> Snapshot {
     recorder::reset();
     let bench = benchsuite::by_key("kmeans").unwrap();
-    let params = PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: psa_benchsuite_shim::ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    };
-    full_psa_flow_cached_on(
+    let params = PsaParams::for_benchmark(&bench);
+    run_flow_job(
         FlowEngine::sequential(),
-        &bench.source,
-        &bench.key,
-        FlowMode::Informed,
-        params,
-        Arc::new(EvalCache::new()),
+        FlowJob::new(&bench.source, &bench.key, FlowMode::Informed, params),
     )
     .expect("flow runs clean");
     let mut snapshot = recorder::snapshot();

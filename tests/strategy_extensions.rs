@@ -3,25 +3,12 @@
 //! exercised through the full flow.
 
 use psaflow::benchsuite;
-use psaflow::core::context::psa_benchsuite_shim::ScaleFactors;
 use psaflow::core::context::FlowContext;
 use psaflow::core::flows::full_psa_flow_with_strategy;
 use psaflow::core::strategy::ml::{self, Example, KernelFeatures, MlTargetSelect};
 use psaflow::core::task::Task;
 use psaflow::core::tasks::tindep;
-use psaflow::core::{full_psa_flow, FlowMode, PsaParams, TargetKind};
-
-fn params_for(bench: &benchsuite::Benchmark) -> PsaParams {
-    PsaParams {
-        sp_safe: bench.sp_safe,
-        scale: ScaleFactors {
-            compute: bench.scale.compute,
-            data: bench.scale.data,
-            threads: bench.scale.threads,
-        },
-        ..PsaParams::default()
-    }
-}
+use psaflow::core::{full_psa_flow, FlowMode, PsaParams, TargetKind, TargetSelect};
 
 #[test]
 fn aliasing_pointer_arguments_veto_every_path() {
@@ -61,7 +48,7 @@ fn budget_feedback_revises_the_gpu_selection() {
     // but above the CPU node's, the Fig. 3 feedback must revise the
     // mapping instead of terminating.
     let bench = benchsuite::by_key("nbody").unwrap();
-    let mut params = params_for(&bench);
+    let mut params = PsaParams::for_benchmark(&bench);
 
     // First find the unconstrained selection + its modelled cost bracket.
     let unconstrained =
@@ -116,12 +103,12 @@ fn learned_strategy_matches_ground_truth_on_the_suite() {
             &bench.source,
             &bench.key,
             FlowMode::Uninformed,
-            params_for(&bench),
+            PsaParams::for_benchmark(&bench),
         )
         .unwrap();
         let best = outcome.best_design().unwrap().target;
         let ast = psaflow::artisan::Ast::from_source(&bench.source, &bench.key).unwrap();
-        let mut ctx = FlowContext::new(ast, params_for(&bench));
+        let mut ctx = FlowContext::new(ast, PsaParams::for_benchmark(&bench));
         tindep::IdentifyHotspotLoops.run(&mut ctx).unwrap();
         tindep::HotspotLoopExtraction {
             kernel_name: "knl".into(),
@@ -143,11 +130,40 @@ fn learned_strategy_matches_ground_truth_on_the_suite() {
             &bench.source,
             &bench.key,
             MlTargetSelect { tree: tree.clone() },
-            params_for(&bench),
+            PsaParams::for_benchmark(&bench),
         )
         .unwrap();
         assert_eq!(outcome.selected_target, Some(expected), "{}", bench.key);
         assert!(!outcome.designs.is_empty());
+    }
+}
+
+#[test]
+fn custom_strategy_path_matches_the_informed_mode() {
+    // Plugging the Fig. 3 strategy in as a custom strategy must reproduce
+    // the informed mode's designs and selection on every benchmark.
+    for bench in benchsuite::all() {
+        let params = PsaParams::for_benchmark(&bench);
+        let informed = full_psa_flow(
+            &bench.source,
+            &bench.key,
+            FlowMode::Informed,
+            params.clone(),
+        )
+        .unwrap();
+        let custom =
+            full_psa_flow_with_strategy(&bench.source, &bench.key, TargetSelect, params).unwrap();
+        assert_eq!(
+            custom.selected_target, informed.selected_target,
+            "{}",
+            bench.key
+        );
+        assert_eq!(
+            format!("{:?}", custom.designs),
+            format!("{:?}", informed.designs),
+            "{}",
+            bench.key
+        );
     }
 }
 
@@ -160,7 +176,7 @@ fn flow_outcomes_serialize() {
         &bench.source,
         "kmeans",
         FlowMode::Informed,
-        params_for(&bench),
+        PsaParams::for_benchmark(&bench),
     )
     .unwrap();
     // Serialize into serde's generic token stream via Debug-compatible
