@@ -21,8 +21,8 @@ use psa_artisan::Ast;
 use psaflow_core::context::{FlowContext, PsaParams};
 use psaflow_core::flows::{build_flow, build_graph};
 use psaflow_core::{
-    DeviceKind, Flow, FlowEngine, FlowError, FlowGraph, FlowMode, GraphBuilder, Module, ModuleInfo,
-    TaskClass,
+    DeviceKind, Flow, FlowEngine, FlowError, FlowGraph, FlowMode, GraphBuilder, Module, TaskClass,
+    TaskInfo,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,8 +44,8 @@ const ESTIMATE_SRC: &str = "int main() {\
 
 struct Prep;
 impl Module for Prep {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("Prepare Estimates", TaskClass::Analysis, false)
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new("Prepare Estimates", TaskClass::Analysis, false)
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         ctx.log("preparing device estimates");
@@ -60,8 +60,8 @@ struct EstimateOnDevice {
     module: Arc<psa_minicpp::Module>,
 }
 impl Module for EstimateOnDevice {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("Estimate On Device", TaskClass::Analysis, true)
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new("Estimate On Device", TaskClass::Analysis, true)
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         let run = psa_interp::run_main_profiled(&self.module, psa_interp::RunConfig::default())
@@ -77,8 +77,8 @@ impl Module for EstimateOnDevice {
 
 struct Collect;
 impl Module for Collect {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("Collect Estimates", TaskClass::Analysis, false)
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new("Collect Estimates", TaskClass::Analysis, false)
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         ctx.log("collected device estimates");

@@ -78,7 +78,7 @@ pub use psa_benchsuite::ScaleFactors;
 pub use psa_evalcache::{CacheKey, CacheStats, EvalCache, KeyBuilder};
 pub use report::{DesignArtifact, DeviceKind, FlowOutcome, PathFailure, TargetKind};
 pub use strategy::{PsaStrategy, TargetSelect};
-pub use task::{Module, ModuleInfo, Task, TaskClass, TaskInfo};
+pub use task::{Module, Task, TaskClass, TaskInfo};
 pub use trace::{DecisionEvidence, DseTrace, SelectionTrace, TraceEvent};
 
 #[cfg(test)]

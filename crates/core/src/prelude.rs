@@ -14,7 +14,7 @@ pub use crate::graph::{FlowGraph, GraphBuilder, GraphError, NodeId};
 pub use crate::ports::{ModulePorts, Port, PortSet};
 pub use crate::report::{DesignArtifact, DeviceKind, FlowOutcome, TargetKind};
 pub use crate::strategy::{PsaStrategy, TargetSelect};
-pub use crate::task::{Module, ModuleInfo, Task, TaskClass, TaskInfo};
+pub use crate::task::{Module, Task, TaskClass, TaskInfo};
 pub use crate::trace::TraceEvent;
 pub use psa_evalcache::EvalCache;
 

@@ -69,9 +69,6 @@ impl TaskInfo {
     }
 }
 
-/// Module metadata under its graph-era name.
-pub type ModuleInfo = TaskInfo;
-
 /// A codified design-flow module: one node of a
 /// [`crate::graph::FlowGraph`].
 pub trait Module: Send + Sync {

@@ -30,8 +30,8 @@ impl Emit {
 }
 
 impl Module for Emit {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new(self.name, TaskClass::CodeGen, false)
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new(self.name, TaskClass::CodeGen, false)
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         std::thread::sleep(std::time::Duration::from_millis(self.delay_ms));
@@ -52,8 +52,8 @@ impl Module for Emit {
 
 struct Failing(&'static str);
 impl Module for Failing {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new(self.0, TaskClass::Transform, false)
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new(self.0, TaskClass::Transform, false)
     }
     fn run(&self, _ctx: &mut FlowContext) -> Result<(), FlowError> {
         Err(FlowError::transform(format!("{} induced failure", self.0)))
@@ -67,8 +67,8 @@ struct Flaky {
     attempts: Arc<AtomicUsize>,
 }
 impl Module for Flaky {
-    fn info(&self) -> ModuleInfo {
-        ModuleInfo::new("flaky", TaskClass::Transform, false).transient()
+    fn info(&self) -> TaskInfo {
+        TaskInfo::new("flaky", TaskClass::Transform, false).transient()
     }
     fn run(&self, ctx: &mut FlowContext) -> Result<(), FlowError> {
         let n = self.attempts.fetch_add(1, Ordering::SeqCst);

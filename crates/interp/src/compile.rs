@@ -436,33 +436,6 @@ pub(crate) enum Insn {
         span: SpanId,
         asg_span: SpanId,
     },
-    /// Fused indexed load + binop (`Index` + `Bin` whose left operand is
-    /// the loaded value): `dst = base[idx] op r`.
-    IndexBin {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        r: u16,
-        cost: u64,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
-        span: SpanId,
-    },
-    /// Fused indexed load + immediate binop: `dst = base[idx] op imm`.
-    IndexBinImm {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        imm: Value,
-        cost: u64,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
-        span: SpanId,
-    },
     /// Fused for-step + back-edge jump (`ForStep` + `Jump`).
     ForStepJump {
         slot: u16,
@@ -517,45 +490,6 @@ pub(crate) enum Insn {
         flops: u64,
         name: Box<str>,
         ty: Type,
-        span: SpanId,
-        co_span: SpanId,
-    },
-    /// Fused [`Insn::IndexBin`] + declaration coercion (forms on the
-    /// second peephole pass, once `Index` + `Bin` have already fused).
-    IndexBinCoerce {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        r: u16,
-        cost: u64,
-        ty: Type,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
-        span: SpanId,
-        co_span: SpanId,
-    },
-    /// A maximal run of straight-line instructions executed as one
-    /// dispatch. Formed by the peephole's final blocking pass from
-    /// consecutive arithmetic / memory instructions none of which (except
-    /// the first) is a jump target. Each step runs through the *same*
-    /// `step_arith` implementation the dispatch loop uses, so a block is
-    /// observably identical to its steps — it only removes the dispatch
-    /// overhead between them.
-    ArithBlock(Box<[Insn]>),
-    /// Fused [`Insn::IndexBinImm`] + declaration coercion (second pass).
-    IndexBinImmCoerce {
-        op: BinOp,
-        dst: u16,
-        base: u16,
-        idx: u16,
-        imm: Value,
-        cost: u64,
-        ty: Type,
-        base_span: SpanId,
-        index_span: SpanId,
-        load_span: SpanId,
         span: SpanId,
         co_span: SpanId,
     },
@@ -705,17 +639,17 @@ pub(crate) enum Insn {
 enum OptLevel {
     /// Flat one-instruction-per-operation register lowering.
     Unfused,
-    /// Superinstruction pair fusion + straight-line blocking (the PR 7
-    /// pipeline), without type specialisation or loop-charge deferral.
+    /// Superinstruction pair fusion only, without type specialisation or
+    /// loop-charge deferral.
     Unspecialized,
     /// Fusion, then type-inference-driven specialisation
-    /// ([`crate::typeinfer`]), then loop-charge deferral, then blocking.
+    /// ([`crate::typeinfer`]), then loop-charge deferral.
     Full,
 }
 
 impl Program {
     /// Compile a module through the full optimisation pipeline (fusion,
-    /// type specialisation, loop-charge deferral, blocking). `config`
+    /// type specialisation, loop-charge deferral). `config`
     /// supplies the cost model baked into instructions and the
     /// watched-function name baked into functions.
     pub fn compile(module: &Module, config: &RunConfig) -> Program {
@@ -731,9 +665,8 @@ impl Program {
     }
 
     /// Compile with superinstruction fusion but *without* type
-    /// specialisation or loop-charge deferral — the PR 7 pipeline, kept as
-    /// an escape hatch and as the third leg of the four-way differential
-    /// proptest.
+    /// specialisation or loop-charge deferral — the third leg of the
+    /// four-way differential proptest.
     pub fn compile_unspecialized(module: &Module, config: &RunConfig) -> Program {
         Program::compile_with(module, config, OptLevel::Unspecialized)
     }
@@ -903,15 +836,13 @@ impl Program {
 
     /// Static specialisation census over the whole program: counts of
     /// `(specialized, total, deferred_loops)` instructions, looking through
-    /// `ArithBlock`s and deferred loop bodies (a `DeferredFor` counts as
-    /// one specialised instruction itself, plus whatever its body holds;
-    /// an `ArithBlock` contributes only its steps). Used for the
+    /// deferred loop bodies (a `DeferredFor` counts as one specialised
+    /// instruction itself, plus whatever its body holds). Used for the
     /// `fig5 --engine=vm` specialisation-rate diagnostic.
     pub fn specialization_stats(&self) -> (u64, u64, u64) {
         fn walk(code: &[Insn], acc: &mut (u64, u64, u64)) {
             for insn in code {
                 match insn {
-                    Insn::ArithBlock(steps) => walk(steps, acc),
                     Insn::DeferredFor(d) => {
                         acc.0 += 1;
                         acc.1 += 1;
@@ -1076,20 +1007,7 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*slot);
                 chk(*l);
             }
-            Insn::IndexBin {
-                dst, base, idx, r, ..
-            }
-            | Insn::IndexBinCoerce {
-                dst, base, idx, r, ..
-            } => {
-                chk(*dst);
-                chk(*base);
-                chk(*idx);
-                chk(*r);
-            }
-            Insn::IndexBinImm { dst, base, idx, .. }
-            | Insn::IndexBinImmCoerce { dst, base, idx, .. }
-            | Insn::IndexCoerce { dst, base, idx, .. } => {
+            Insn::IndexCoerce { dst, base, idx, .. } => {
                 chk(*dst);
                 chk(*base);
                 chk(*idx);
@@ -1107,7 +1025,6 @@ fn verify_code(code: &[Insn], nregs: usize, call_sites: &[CallSite], global_coun
                 chk(*dst);
                 chk(*l);
             }
-            Insn::ArithBlock(steps) => verify_code(steps, nregs, call_sites, global_count),
             Insn::F64Bin { dst, l, r, .. } => {
                 chk(*dst);
                 chk(*l);

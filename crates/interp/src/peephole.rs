@@ -3,13 +3,19 @@
 //! Runs after [`crate::compile`]'s flat register lowering and fuses hot
 //! adjacent instruction pairs into single dispatches:
 //!
-//! | pattern                         | superinstruction                     |
-//! |---------------------------------|--------------------------------------|
-//! | compare + `JumpIfFalse`         | [`Insn::CmpBranch`] / `CmpImmBranch` |
-//! | compare + `WhileTest`           | [`Insn::CmpWhile`] / `CmpImmWhile`   |
-//! | binop + `AssignLocal`           | [`Insn::BinAssign`] / `BinImmAssign` |
-//! | `Index` + binop on the load     | [`Insn::IndexBin`] / `IndexBinImm`   |
-//! | `ForStep` + back-edge `Jump`    | [`Insn::ForStepJump`]                |
+//! | pattern                           | superinstruction                     |
+//! |-----------------------------------|--------------------------------------|
+//! | compare + `JumpIfFalse`           | [`Insn::CmpBranch`] / `CmpImmBranch` |
+//! | compare + `WhileTest`             | [`Insn::CmpWhile`] / `CmpImmWhile`   |
+//! | binop + `AssignLocal`             | [`Insn::BinAssign`] / `BinImmAssign` |
+//! | producer + declaration `Coerce`   | [`Insn::BinCoerce`] / `IndexCoerce`… |
+//! | immediate binop + immediate binop | [`Insn::BinImm2`]                    |
+//! | immediate binop + unary math call | [`Insn::MathCallImm`]                |
+//! | `ForStep` + back-edge `Jump`      | [`Insn::ForStepJump`]                |
+//!
+//! An indexed load feeding a binop is deliberately left unfused: type
+//! inference turns the pair into `F64Index` + `F64Bin*`, which measured
+//! faster than a generic fused form (EXPERIMENTS.md, VM fusion ablation).
 //!
 //! Fusion is observably invisible. Each superinstruction performs exactly
 //! the steps of its pair in the original order; the only collapsed step is
@@ -39,20 +45,75 @@ use psa_minicpp::ast::{BinOp, Type};
 /// expression-temporary register — registers below it are named locals and
 /// never have their writes elided.
 ///
-/// Runs the pairwise pass twice: rules whose first half is itself a
-/// superinstruction (`IndexBin` + `Coerce`) can only fire once the first
-/// pass has formed that superinstruction, and pass-one fusion can also
-/// make new pairs adjacent.
+/// One left-to-right pass is a fixpoint: no rule takes a superinstruction
+/// as either half, so a second pass over the output would fuse nothing.
 pub(crate) fn fuse(code: Vec<Insn>, first_temp: u16) -> Vec<Insn> {
-    block(fuse_once(fuse_once(code, first_temp), first_temp))
+    // Every pc that any control transfer can land on.
+    let mut is_target = vec![false; code.len() + 1];
+    for insn in &code {
+        match insn {
+            Insn::Jump(t) => is_target[*t as usize] = true,
+            Insn::JumpIfFalse { target, .. }
+            | Insn::AndShort { target, .. }
+            | Insn::OrShort { target, .. }
+            | Insn::CmpBranch { target, .. }
+            | Insn::CmpImmBranch { target, .. }
+            | Insn::ForStepJump { target, .. } => is_target[*target as usize] = true,
+            Insn::ForTest { exit, .. }
+            | Insn::WhileTest { exit, .. }
+            | Insn::CmpWhile { exit, .. }
+            | Insn::CmpImmWhile { exit, .. } => is_target[*exit as usize] = true,
+            _ => {}
+        }
+    }
+
+    let mut out: Vec<Insn> = Vec::with_capacity(code.len());
+    // old pc -> new pc, for retargeting jumps afterwards.
+    let mut remap = vec![0u32; code.len() + 1];
+    let mut i = 0;
+    while i < code.len() {
+        remap[i] = out.len() as u32;
+        let fused = if i + 1 < code.len() && !is_target[i + 1] {
+            fuse_pair(&code[i], &code[i + 1], first_temp)
+        } else {
+            None
+        };
+        match fused {
+            Some(insn) => {
+                remap[i + 1] = out.len() as u32;
+                out.push(insn);
+                i += 2;
+            }
+            None => {
+                out.push(code[i].clone());
+                i += 1;
+            }
+        }
+    }
+    remap[code.len()] = out.len() as u32;
+
+    for insn in &mut out {
+        match insn {
+            Insn::Jump(t) => *t = remap[*t as usize],
+            Insn::JumpIfFalse { target, .. }
+            | Insn::AndShort { target, .. }
+            | Insn::OrShort { target, .. }
+            | Insn::CmpBranch { target, .. }
+            | Insn::CmpImmBranch { target, .. }
+            | Insn::ForStepJump { target, .. } => *target = remap[*target as usize],
+            Insn::ForTest { exit, .. }
+            | Insn::WhileTest { exit, .. }
+            | Insn::CmpWhile { exit, .. }
+            | Insn::CmpImmWhile { exit, .. } => *exit = remap[*exit as usize],
+            _ => {}
+        }
+    }
+    out
 }
 
 /// The full optimisation pipeline: pair fusion, then type-inference-driven
-/// specialisation ([`crate::typeinfer`]), then loop-charge deferral, then
-/// straight-line blocking. Specialisation runs after fusion (so the fused
-/// forms get typed variants) and before blocking (so blocks batch the
-/// specialised steps); deferral runs before blocking so a deferred loop's
-/// surroundings can still batch.
+/// specialisation ([`crate::typeinfer`]), then loop-charge deferral.
+/// Specialisation runs after fusion so the fused forms get typed variants.
 pub(crate) fn optimize(
     code: Vec<Insn>,
     first_temp: u16,
@@ -61,53 +122,10 @@ pub(crate) fn optimize(
     call_sites: &[CallSite],
     cm: &CostModel,
 ) -> Vec<Insn> {
-    let fused = fuse_once(fuse_once(code, first_temp), first_temp);
+    let fused = fuse(code, first_temp);
     let call_rets = typeinfer::call_ret_types(call_sites);
     let specialized = typeinfer::specialize(fused, param_tys, nregs, &call_rets);
-    block(defer_loops(specialized, cm))
-}
-
-/// Instructions eligible for [`Insn::ArithBlock`] batching: exactly the
-/// straight-line set `step_arith` in the VM implements (no control flow,
-/// no calls, no globals, no loop bookkeeping).
-fn blockable(insn: &Insn) -> bool {
-    matches!(
-        insn,
-        Insn::Const { .. }
-            | Insn::Copy { .. }
-            | Insn::AssignLocal { .. }
-            | Insn::Coerce { .. }
-            | Insn::Cast { .. }
-            | Insn::Un { .. }
-            | Insn::Bin { .. }
-            | Insn::BinImm { .. }
-            | Insn::BinImmRev { .. }
-            | Insn::ToBool { .. }
-            | Insn::Index { .. }
-            | Insn::IndexAddr { .. }
-            | Insn::LoadElem { .. }
-            | Insn::StoreElem { .. }
-            | Insn::MathCall { .. }
-            | Insn::BinAssign { .. }
-            | Insn::BinImmAssign { .. }
-            | Insn::IndexBin { .. }
-            | Insn::IndexBinImm { .. }
-            | Insn::BinCoerce { .. }
-            | Insn::BinImmCoerce { .. }
-            | Insn::IndexCoerce { .. }
-            | Insn::MathCallCoerce { .. }
-            | Insn::IndexBinCoerce { .. }
-            | Insn::IndexBinImmCoerce { .. }
-            | Insn::BinImm2 { .. }
-            | Insn::MathCallImm { .. }
-            | Insn::F64Bin { .. }
-            | Insn::F64BinImm { .. }
-            | Insn::F64BinAssign { .. }
-            | Insn::F64BinImmAssign { .. }
-            | Insn::F64Index { .. }
-            | Insn::F64Store { .. }
-            | Insn::F64MathCallImm { .. }
-    )
+    defer_loops(specialized, cm)
 }
 
 /// Worst-case virtual-cycle charge one execution of `insn` can make, or
@@ -152,10 +170,6 @@ fn worst_charge(insn: &Insn, cm: &CostModel) -> Option<u64> {
         | Insn::F64BinImm { .. }
         | Insn::F64BinAssign { .. }
         | Insn::F64BinImmAssign { .. } => Some(fpmax),
-        Insn::IndexBin { cost, .. }
-        | Insn::IndexBinImm { cost, .. }
-        | Insn::IndexBinCoerce { cost, .. }
-        | Insn::IndexBinImmCoerce { cost, .. } => Some(cost.saturating_add(wmax)),
         Insn::MathCall { cycles, .. } | Insn::MathCallCoerce { cycles, .. } => Some(*cycles),
         Insn::MathCallImm { cycles, .. } => Some(u64::from(*cycles).saturating_add(wmax)),
         Insn::F64MathCallImm { cycles, .. } => Some(u64::from(*cycles).saturating_add(fpmax)),
@@ -318,135 +332,6 @@ fn defer_loops(code: Vec<Insn>, cm: &CostModel) -> Vec<Insn> {
     out
 }
 
-/// Final pass: batch maximal runs (length ≥ 2) of straight-line
-/// instructions into [`Insn::ArithBlock`]s. A run may only be entered at
-/// its head, so every interior pc must not be a jump target; jumps *to*
-/// the head land on the block and execute it from the start, as before.
-fn block(code: Vec<Insn>) -> Vec<Insn> {
-    let mut is_target = vec![false; code.len() + 1];
-    for insn in &code {
-        match insn {
-            Insn::Jump(t) => is_target[*t as usize] = true,
-            Insn::JumpIfFalse { target, .. }
-            | Insn::AndShort { target, .. }
-            | Insn::OrShort { target, .. }
-            | Insn::CmpBranch { target, .. }
-            | Insn::CmpImmBranch { target, .. }
-            | Insn::ForStepJump { target, .. } => is_target[*target as usize] = true,
-            Insn::ForTest { exit, .. }
-            | Insn::WhileTest { exit, .. }
-            | Insn::CmpWhile { exit, .. }
-            | Insn::CmpImmWhile { exit, .. } => is_target[*exit as usize] = true,
-            _ => {}
-        }
-    }
-
-    let mut out: Vec<Insn> = Vec::with_capacity(code.len());
-    let mut remap = vec![0u32; code.len() + 1];
-    let mut i = 0;
-    while i < code.len() {
-        remap[i] = out.len() as u32;
-        if blockable(&code[i]) {
-            let mut j = i + 1;
-            while j < code.len() && blockable(&code[j]) && !is_target[j] {
-                j += 1;
-            }
-            if j - i >= 2 {
-                remap[i..j].fill(out.len() as u32);
-                out.push(Insn::ArithBlock(code[i..j].to_vec().into_boxed_slice()));
-                i = j;
-                continue;
-            }
-        }
-        out.push(code[i].clone());
-        i += 1;
-    }
-    remap[code.len()] = out.len() as u32;
-
-    for insn in &mut out {
-        match insn {
-            Insn::Jump(t) => *t = remap[*t as usize],
-            Insn::JumpIfFalse { target, .. }
-            | Insn::AndShort { target, .. }
-            | Insn::OrShort { target, .. }
-            | Insn::CmpBranch { target, .. }
-            | Insn::CmpImmBranch { target, .. }
-            | Insn::ForStepJump { target, .. } => *target = remap[*target as usize],
-            Insn::ForTest { exit, .. }
-            | Insn::WhileTest { exit, .. }
-            | Insn::CmpWhile { exit, .. }
-            | Insn::CmpImmWhile { exit, .. } => *exit = remap[*exit as usize],
-            _ => {}
-        }
-    }
-    out
-}
-
-fn fuse_once(code: Vec<Insn>, first_temp: u16) -> Vec<Insn> {
-    // Every pc that any control transfer can land on (including transfers
-    // out of superinstructions formed by an earlier pass).
-    let mut is_target = vec![false; code.len() + 1];
-    for insn in &code {
-        match insn {
-            Insn::Jump(t) => is_target[*t as usize] = true,
-            Insn::JumpIfFalse { target, .. }
-            | Insn::AndShort { target, .. }
-            | Insn::OrShort { target, .. }
-            | Insn::CmpBranch { target, .. }
-            | Insn::CmpImmBranch { target, .. }
-            | Insn::ForStepJump { target, .. } => is_target[*target as usize] = true,
-            Insn::ForTest { exit, .. }
-            | Insn::WhileTest { exit, .. }
-            | Insn::CmpWhile { exit, .. }
-            | Insn::CmpImmWhile { exit, .. } => is_target[*exit as usize] = true,
-            _ => {}
-        }
-    }
-
-    let mut out: Vec<Insn> = Vec::with_capacity(code.len());
-    // old pc -> new pc, for retargeting jumps afterwards.
-    let mut remap = vec![0u32; code.len() + 1];
-    let mut i = 0;
-    while i < code.len() {
-        remap[i] = out.len() as u32;
-        let fused = if i + 1 < code.len() && !is_target[i + 1] {
-            fuse_pair(&code[i], &code[i + 1], first_temp)
-        } else {
-            None
-        };
-        match fused {
-            Some(insn) => {
-                remap[i + 1] = out.len() as u32;
-                out.push(insn);
-                i += 2;
-            }
-            None => {
-                out.push(code[i].clone());
-                i += 1;
-            }
-        }
-    }
-    remap[code.len()] = out.len() as u32;
-
-    for insn in &mut out {
-        match insn {
-            Insn::Jump(t) => *t = remap[*t as usize],
-            Insn::JumpIfFalse { target, .. }
-            | Insn::AndShort { target, .. }
-            | Insn::OrShort { target, .. }
-            | Insn::CmpBranch { target, .. }
-            | Insn::CmpImmBranch { target, .. }
-            | Insn::ForStepJump { target, .. } => *target = remap[*target as usize],
-            Insn::ForTest { exit, .. }
-            | Insn::WhileTest { exit, .. }
-            | Insn::CmpWhile { exit, .. }
-            | Insn::CmpImmWhile { exit, .. } => *exit = remap[*exit as usize],
-            _ => {}
-        }
-    }
-    out
-}
-
 /// Try to fuse one adjacent pair (the second is known not to be a jump
 /// target).
 fn fuse_pair(a: &Insn, b: &Insn, first_temp: u16) -> Option<Insn> {
@@ -588,65 +473,6 @@ fn fuse_pair(a: &Insn, b: &Insn, first_temp: u16) -> Option<Insn> {
             span: *span,
             asg_span: *asg_span,
         }),
-        // indexed load + binop consuming the loaded value on the left
-        (
-            Insn::Index {
-                dst,
-                base,
-                idx,
-                cost,
-                base_span,
-                index_span,
-                span,
-            },
-            Insn::Bin {
-                op,
-                dst: bin_dst,
-                l,
-                r,
-                span: bin_span,
-            },
-        ) if l == dst && r != dst && *dst >= first_temp => Some(Insn::IndexBin {
-            op: *op,
-            dst: *bin_dst,
-            base: *base,
-            idx: *idx,
-            r: *r,
-            cost: *cost,
-            base_span: *base_span,
-            index_span: *index_span,
-            load_span: *span,
-            span: *bin_span,
-        }),
-        (
-            Insn::Index {
-                dst,
-                base,
-                idx,
-                cost,
-                base_span,
-                index_span,
-                span,
-            },
-            Insn::BinImm {
-                op,
-                dst: bin_dst,
-                l,
-                imm,
-                span: bin_span,
-            },
-        ) if l == dst && *dst >= first_temp => Some(Insn::IndexBinImm {
-            op: *op,
-            dst: *bin_dst,
-            base: *base,
-            idx: *idx,
-            imm: *imm,
-            cost: *cost,
-            base_span: *base_span,
-            index_span: *index_span,
-            load_span: *span,
-            span: *bin_span,
-        }),
         // producer + declaration coercion. `Coerce` never charges, so the
         // fusion removes only the dispatch and the dead temporary write;
         // the coercion (and its possible type error) happens after the
@@ -750,72 +576,6 @@ fn fuse_pair(a: &Insn, b: &Insn, first_temp: u16) -> Option<Insn> {
             flops: *flops,
             name: name.clone(),
             ty: *ty,
-            span: *span,
-            co_span: *co_span,
-        }),
-        (
-            Insn::IndexBin {
-                op,
-                dst,
-                base,
-                idx,
-                r,
-                cost,
-                base_span,
-                index_span,
-                load_span,
-                span,
-            },
-            Insn::Coerce {
-                dst: c_dst,
-                src,
-                ty,
-                span: co_span,
-            },
-        ) if src == dst && *dst >= first_temp => Some(Insn::IndexBinCoerce {
-            op: *op,
-            dst: *c_dst,
-            base: *base,
-            idx: *idx,
-            r: *r,
-            cost: *cost,
-            ty: *ty,
-            base_span: *base_span,
-            index_span: *index_span,
-            load_span: *load_span,
-            span: *span,
-            co_span: *co_span,
-        }),
-        (
-            Insn::IndexBinImm {
-                op,
-                dst,
-                base,
-                idx,
-                imm,
-                cost,
-                base_span,
-                index_span,
-                load_span,
-                span,
-            },
-            Insn::Coerce {
-                dst: c_dst,
-                src,
-                ty,
-                span: co_span,
-            },
-        ) if src == dst && *dst >= first_temp => Some(Insn::IndexBinImmCoerce {
-            op: *op,
-            dst: *c_dst,
-            base: *base,
-            idx: *idx,
-            imm: *imm,
-            cost: *cost,
-            ty: *ty,
-            base_span: *base_span,
-            index_span: *index_span,
-            load_span: *load_span,
             span: *span,
             co_span: *co_span,
         }),
@@ -957,6 +717,7 @@ mod tests {
     use crate::eval::RunConfig;
     use psa_minicpp::ast::BinOp;
     use psa_minicpp::parse_module;
+    use psa_minicpp::scopes::resolve_function;
 
     // These tests pin the *fusion* layer's output, so they compile at the
     // unspecialised level — the later passes (typeinfer specialisation,
@@ -969,15 +730,8 @@ mod tests {
         p.funcs[fidx as usize].code.clone()
     }
 
-    /// Count matches, looking through `ArithBlock` batches.
     fn count(code: &[Insn], pred: impl Fn(&Insn) -> bool) -> usize {
-        code.iter()
-            .flat_map(|i| match i {
-                Insn::ArithBlock(steps) => steps.iter().collect::<Vec<_>>(),
-                other => vec![other],
-            })
-            .filter(|i| pred(i))
-            .count()
+        code.iter().filter(|i| pred(i)).count()
     }
 
     #[test]
@@ -1014,27 +768,79 @@ mod tests {
     }
 
     #[test]
-    fn indexed_load_feeding_binop_fuses_to_index_bin() {
-        // In a declaration the result also feeds a `Coerce`, so the second
-        // pass folds that in too: `Index`+`Bin`+`Coerce` → `IndexBinCoerce`.
-        let code = main_code(
+    fn indexed_load_feeding_binop_specialises_as_f64_index_then_f64_bin() {
+        // Pair fusion leaves `Index` + binop alone, so type inference turns
+        // the load into `F64Index` and the binop (after its own fusion
+        // with the declaration `Coerce` or the `AssignLocal`) into a typed
+        // `F64Bin*` that reads the loaded register.
+        fn load_feeds(code: &[Insn], consumer: impl Fn(&Insn, u16) -> bool) -> usize {
+            code.windows(2)
+                .filter(|w| match &w[0] {
+                    Insn::F64Index { dst, .. } => consumer(&w[1], *dst),
+                    _ => false,
+                })
+                .count()
+        }
+        fn full_main_code(src: &str) -> Vec<Insn> {
+            let m = parse_module(src, "t").unwrap();
+            let p = Program::compile(&m, &RunConfig::default());
+            p.funcs[p.fn_by_name["main"] as usize].code.clone()
+        }
+        let code = full_main_code(
             "int main() { double* a = alloc_double(4); double x = 1.0; \
              double y = a[2] - x; double z = a[3] * 0.5; return (int)(y + z); }",
         );
         assert_eq!(
-            count(&code, |i| matches!(i, Insn::IndexBinCoerce { .. })),
+            load_feeds(&code, |i, r| matches!(i, Insn::F64Bin { l, .. } if *l == r)),
             1
         );
         assert_eq!(
-            count(&code, |i| matches!(i, Insn::IndexBinImmCoerce { .. })),
+            load_feeds(
+                &code,
+                |i, r| matches!(i, Insn::F64BinImm { l, .. } if *l == r)
+            ),
             1
         );
-        // Used as a plain expression (no declaration) the pair stays.
-        let code = main_code(
+        let code = full_main_code(
             "int main() { double* a = alloc_double(4); double y = 0.0; \
              y = a[2] - 1.5; return (int)y; }",
         );
-        assert_eq!(count(&code, |i| matches!(i, Insn::IndexBinImm { .. })), 1);
+        assert_eq!(
+            load_feeds(
+                &code,
+                |i, r| matches!(i, Insn::F64BinImmAssign { l, .. } if *l == r)
+            ),
+            1
+        );
+    }
+
+    #[test]
+    fn one_fuse_pass_is_a_fixpoint_on_the_benchsuite() {
+        // No rule takes a superinstruction as either half, so running the
+        // pass again over its own output must change nothing.
+        for bench in psa_benchsuite::all() {
+            let m = parse_module(&bench.source, &bench.key).unwrap();
+            let p = Program::compile_unspecialized(&m, &RunConfig::default());
+            let init_first_temp = p.global_names.len() as u16;
+            let chunks = p
+                .funcs
+                .iter()
+                .map(|f| {
+                    let ast = m.function(&f.name).unwrap();
+                    let first_temp = resolve_function(ast).locals as u16;
+                    (&*f.name, &f.code, first_temp)
+                })
+                .chain([("<globals>", &p.globals_init, init_first_temp)]);
+            for (name, code, first_temp) in chunks {
+                let again = fuse(code.clone(), first_temp);
+                assert_eq!(
+                    format!("{again:?}"),
+                    format!("{code:?}"),
+                    "{}::{name} changed on a second fuse pass",
+                    bench.key
+                );
+            }
+        }
     }
 
     #[test]

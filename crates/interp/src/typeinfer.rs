@@ -257,23 +257,9 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
             let t = assign_result(st[*slot as usize], v);
             w(st, *slot, t);
         }
-        Insn::IndexBin {
-            op, dst, base, r, ..
-        } => {
-            let t = bin_result(*op, elem_of(st[*base as usize]), st[*r as usize]);
-            w(st, *dst, t);
-        }
-        Insn::IndexBinImm {
-            op, dst, base, imm, ..
-        } => {
-            let t = bin_result(*op, elem_of(st[*base as usize]), ty_of_value(imm));
-            w(st, *dst, t);
-        }
         Insn::BinCoerce { dst, ty, .. }
         | Insn::BinImmCoerce { dst, ty, .. }
-        | Insn::IndexCoerce { dst, ty, .. }
-        | Insn::IndexBinCoerce { dst, ty, .. }
-        | Insn::IndexBinImmCoerce { dst, ty, .. } => {
+        | Insn::IndexCoerce { dst, ty, .. } => {
             // The producer result is scalar or errors; the coercion fixes
             // the success tag entirely.
             w(st, *dst, coerce_result(*ty, Ty::Any));
@@ -294,13 +280,6 @@ fn transfer(insn: &Insn, st: &mut [Ty], call_rets: &[Ty]) {
         }
         Insn::MathCallImm { dst, f, .. } => {
             w(st, *dst, if f.single { Ty::F32 } else { Ty::F64 });
-        }
-        Insn::ArithBlock(steps) => {
-            // Defensive: specialisation runs before blocking, but fold the
-            // steps anyway so the pass is order-independent.
-            for s in steps.iter() {
-                transfer(s, st, call_rets);
-            }
         }
         // Specialised forms only exist after this pass; treat their writes
         // conservatively if ever encountered.
@@ -668,23 +647,15 @@ mod tests {
         p.funcs[fidx as usize].code.clone()
     }
 
-    /// Count matches, looking through blocks and deferred loop bodies.
+    /// Count matches, looking through deferred loop bodies.
     fn count(code: &[Insn], pred: &dyn Fn(&Insn) -> bool) -> usize {
         let mut n = 0;
         for i in code {
-            match i {
-                Insn::ArithBlock(steps) => n += count(steps, pred),
-                Insn::DeferredFor(d) => {
-                    if pred(i) {
-                        n += 1;
-                    }
-                    n += count(&d.body, pred);
-                }
-                other => {
-                    if pred(other) {
-                        n += 1;
-                    }
-                }
+            if pred(i) {
+                n += 1;
+            }
+            if let Insn::DeferredFor(d) = i {
+                n += count(&d.body, pred);
             }
         }
         n

@@ -145,8 +145,7 @@ pub struct Vm {
     dispatches: u64,
     /// Dispatches that took a type-specialised route: the `F64*`
     /// instruction forms, plus per-iteration credit for [`Insn::DeferredFor`]
-    /// loops. Always `<= dispatches`; `ArithBlock` interiors count in
-    /// neither.
+    /// loops. Always `<= dispatches`.
     spec_dispatches: u64,
     calls: u64,
     /// Frame profiler; `None` (the default) costs nothing on the hot path.
@@ -553,7 +552,7 @@ impl Vm {
             match insn {
                 // Straight-line instructions: one shared implementation
                 // (`step_arith`) serves both this dispatch loop and the
-                // batched `ArithBlock` form below.
+                // bodies of `DeferredFor` loops.
                 insn @ (Insn::Const { .. }
                 | Insn::Copy { .. }
                 | Insn::AssignLocal { .. }
@@ -571,14 +570,10 @@ impl Vm {
                 | Insn::MathCall { .. }
                 | Insn::BinAssign { .. }
                 | Insn::BinImmAssign { .. }
-                | Insn::IndexBin { .. }
-                | Insn::IndexBinImm { .. }
                 | Insn::BinCoerce { .. }
                 | Insn::BinImmCoerce { .. }
                 | Insn::IndexCoerce { .. }
                 | Insn::MathCallCoerce { .. }
-                | Insn::IndexBinCoerce { .. }
-                | Insn::IndexBinImmCoerce { .. }
                 | Insn::BinImm2 { .. }
                 | Insn::MathCallImm { .. }) => step_arith(
                     insn, frame, profile, memory, costs, max_cycles, watch, spans,
@@ -597,11 +592,6 @@ impl Vm {
                     step_spec(
                         insn, frame, profile, memory, costs, max_cycles, watch, spans, None,
                     )?;
-                }
-                Insn::ArithBlock(steps) => {
-                    for s in steps.iter() {
-                        step_arith(s, frame, profile, memory, costs, max_cycles, watch, spans)?;
-                    }
                 }
                 Insn::LoadGlobal { dst, gidx, span } => {
                     let v = globals[*gidx as usize].ok_or_else(|| RuntimeError::Unbound {
@@ -1262,8 +1252,7 @@ fn reg_mut(frame: &mut [Value], i: u16) -> &mut Value {
 
 /// Execute one straight-line instruction — every arithmetic / memory form
 /// with no control flow. Shared verbatim by the dispatch loop and by
-/// [`Insn::ArithBlock`] batches, so batching cannot change semantics: a
-/// block only removes the outer dispatch between consecutive steps.
+/// [`Insn::DeferredFor`] bodies.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn step_arith(
@@ -1545,81 +1534,6 @@ fn step_arith(
             let cur = reg(frame, *slot);
             *reg_mut(frame, *slot) = ops::convert_assign(Some(cur), v, sp(spans, *asg_span))?;
         }
-        Insn::IndexBin {
-            op,
-            dst,
-            base: b,
-            idx,
-            r,
-            cost,
-            base_span,
-            index_span,
-            load_span,
-            span,
-        } => {
-            let base_v = reg(frame, *b);
-            let idx_v = reg(frame, *idx);
-            let rv = reg(frame, *r);
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                base_v,
-                idx_v,
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = ops::apply_binary(
-                &mut *profile,
-                max_cycles,
-                costs,
-                *op,
-                loaded,
-                rv,
-                sp(spans, *span),
-            )?;
-            *reg_mut(frame, *dst) = v;
-        }
-        Insn::IndexBinImm {
-            op,
-            dst,
-            base: b,
-            idx,
-            imm,
-            cost,
-            base_span,
-            index_span,
-            load_span,
-            span,
-        } => {
-            let base_v = reg(frame, *b);
-            let idx_v = reg(frame, *idx);
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                base_v,
-                idx_v,
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = ops::apply_binary(
-                &mut *profile,
-                max_cycles,
-                costs,
-                *op,
-                loaded,
-                *imm,
-                sp(spans, *span),
-            )?;
-            *reg_mut(frame, *dst) = v;
-        }
         Insn::BinCoerce {
             op,
             dst,
@@ -1695,64 +1609,6 @@ fn step_arith(
             )?;
             store_coerced!(dst, v, ty, co_span);
         }
-        Insn::IndexBinCoerce {
-            op,
-            dst,
-            base: b,
-            idx,
-            r,
-            cost,
-            ty,
-            base_span,
-            index_span,
-            load_span,
-            span,
-            co_span,
-        } => {
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                reg(frame, *b),
-                reg(frame, *idx),
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = binop!(op, loaded, reg(frame, *r), span);
-            store_coerced!(dst, v, ty, co_span);
-        }
-        Insn::IndexBinImmCoerce {
-            op,
-            dst,
-            base: b,
-            idx,
-            imm,
-            cost,
-            ty,
-            base_span,
-            index_span,
-            load_span,
-            span,
-            co_span,
-        } => {
-            let loaded = index_load(
-                profile,
-                memory,
-                watch,
-                max_cycles,
-                reg(frame, *b),
-                reg(frame, *idx),
-                *cost,
-                sp(spans, *base_span),
-                sp(spans, *index_span),
-                sp(spans, *load_span),
-            )?;
-            let v = binop!(op, loaded, *imm, span);
-            store_coerced!(dst, v, ty, co_span);
-        }
         Insn::BinImm2 {
             op1,
             op2,
@@ -1820,7 +1676,7 @@ fn step_arith(
                 Value::Double(f.op.eval_f64(av, 0.0))
             };
         }
-        // Type-specialised forms are straight-line too (blocks and precise
+        // Type-specialised forms are straight-line too (precise
         // deferred-loop replays reach them here); immediate charging.
         insn @ (Insn::F64Bin { .. }
         | Insn::F64BinImm { .. }

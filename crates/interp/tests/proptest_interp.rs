@@ -233,8 +233,8 @@ proptest! {
 
     /// Four-way differential over deep programs: rushlarsen-shaped gate
     /// chains (immediate-heavy float expressions feeding `exp`, the exact
-    /// shapes the peephole fuses into `BinImm2`/`MathCallImm`/`ArithBlock`
-    /// and the specialiser then types) plus integer address arithmetic,
+    /// shapes the peephole fuses into `BinImm2`/`MathCallImm` and the
+    /// specialiser then types) plus integer address arithmetic,
     /// casts, nested conditionals, and cross-function calls. All four
     /// execution paths must produce identical results, profiles, memory.
     #[test]
